@@ -46,10 +46,15 @@ from repro.experiments import (
 )
 from repro.hierarchy import practical_leaf_threshold, subdivision_factors
 
-# n=1024 crosses a hierarchy-structure jump ([16,4] → [36,4]) whose
-# multiplicative log-tower makes single runs take minutes — the very
-# effect D9 documents; E16 charts it explicitly.  The sweep stays below
-# the jump so every cell runs in seconds.
+# n=1024 crosses a hierarchy-structure jump ([16,4] → [36,4]) — the very
+# effect D9 documents; E16 charts it explicitly.  Run time is not what
+# keeps it out: at this grid's settings one hierarchical cell takes
+# ≈0.3 CPU-s at n=512 and 1.3 CPU-s at n=1024 trial 1 (Python 3.11,
+# NumPy 2.4, one core of a 2-core Xeon).  The blocker is the default
+# root seed's n=1024 trial-0 cell, which never finishes: its adaptive
+# caps compound across depths and the root round does not end (no
+# result after 90 CPU-s).  The sweep stays below the jump until that
+# cell terminates.
 SIZES = (128, 256, 512)
 EPSILON = 0.2
 

@@ -57,6 +57,7 @@ from repro.gossip.hierarchical.parameters import ProtocolParameters
 from repro.gossip.hierarchical.rounds import CoefficientMode
 from repro.graphs.rgg import RandomGeometricGraph
 from repro.hierarchy.tree import HierarchyTree, SquareNode
+from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
 from repro.routing.flooding import flood
 from repro.routing.greedy import GreedyRouter
@@ -105,6 +106,13 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
 
     name = "hierarchical-affine-async"
 
+    #: Leaf `Near` adjacency, leaf floods and greedy routes are all
+    #: snapshots of the graph taken once (the flood ``reached`` lists and
+    #: the route cache's next-hop columns are memoised), so a substrate
+    #: whose adjacency changes under the run would be served stale
+    #: answers — the dynamics layer rejects the protocol instead.
+    supports_dynamics = False
+
     def __init__(
         self,
         graph: RandomGeometricGraph,
@@ -123,7 +131,7 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
         self.parameters = parameters
         self.separation = separation
         self.coefficient_mode = coefficient_mode
-        self.router = GreedyRouter(graph)
+        self.router = CachedGreedyRouter(GreedyRouter(graph))
         self._active_parameters = parameters
         self.states = [NodeState() for _ in range(graph.n)]
         # square represented by each supernode sensor (shallowest wins,
@@ -143,6 +151,9 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
                 ):
                     self._siblings[child.supernode] = peers
         self._leaf_neighbors = self._restrict_adjacency_to_leaves()
+        #: supernode -> its leaf's flood ``reached`` list (static graph,
+        #: so each leaf's BFS runs once; see :meth:`_flood_leaf`)
+        self._flood_reached: dict[int, list[int]] = {}
         self._time_budgets: list[int] = []
         self._epsilons: list[float] = []
         self.far_exchanges = 0
@@ -318,14 +329,7 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
             return  # idempotent: nothing to transmit
         state.square_active = True
         if square.is_leaf:
-            reached = flood(
-                self.graph.neighbors,
-                node,
-                square.members.tolist(),
-                counter,
-                category="activation",
-            )
-            for member in reached:
+            for member in self._flood_leaf(node, square, counter):
                 self.states[member].local_on = True
         else:
             for child in square.children:
@@ -347,14 +351,7 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
             return  # idempotent: already off
         state.square_active = False
         if square.is_leaf:
-            reached = flood(
-                self.graph.neighbors,
-                node,
-                square.members.tolist(),
-                counter,
-                category="activation",
-            )
-            for member in reached:
+            for member in self._flood_leaf(node, square, counter):
                 self.states[member].local_on = False
         else:
             for child in square.children:
@@ -364,6 +361,21 @@ class AsyncHierarchicalProtocol(AsynchronousGossip):
                             node, child.supernode, counter, category="activation"
                         )
                     self.states[child.supernode].global_on = False
+
+    def _flood_leaf(
+        self, node: int, square: SquareNode, counter: TransmissionCounter
+    ) -> list[int]:
+        """Flood the leaf ``square`` from ``node``: charge it, return ``reached``.
+
+        The flood is a BFS over the static graph restricted to the leaf's
+        members, so it runs once per leaf and is replayed from the memo.
+        """
+        reached = self._flood_reached.get(node)
+        if reached is None:
+            reached = flood(self.graph.neighbors, node, square.members.tolist())
+            self._flood_reached[node] = reached
+        counter.charge(len(reached), "activation")
+        return reached
 
     # -- setup helpers -----------------------------------------------------------
 

@@ -22,6 +22,31 @@ its depth's accuracy target ``ε_r · ‖x(0)‖`` (measured oracularly; costs
 are still charged per transmission).  With ``adaptive=False`` loops run the
 prescribed counts from :class:`~repro.gossip.hierarchical.parameters.
 ProtocolParameters` — the paper's worst-case structure.
+
+Execution is bit-identical to the literal reading above (one uniform draw
+per choice, one counter charge per transmission, one BFS per flood, one
+greedy walk per route), only faster:
+
+* *Memoised floods.*  A leaf's activation or deactivation flood depends
+  only on the static graph, its supernode and its members, so the BFS
+  runs once per leaf per executor instance; every later activation and
+  deactivation charges the cached ``len(reached)`` to ``"activation"``.
+* *Cached routes.*  `Far` round trips and internal activations go
+  through :class:`~repro.routing.cache.CachedGreedyRouter`, whose
+  next-hop columns replay greedy paths and charges exactly.
+* *Buffered `Near` draws.*  A leaf round runs its ticks in a plain-Python
+  loop over Python floats, drawing its uniform member/partner indices
+  through :class:`BufferedIntegers` — NumPy's own bounded-integer
+  algorithm over pre-drawn blocks of the generator's 32-bit words,
+  resynchronised once at the end of the round so the generator leaves
+  the round exactly as the scalar ``rng.integers`` calls would.  The
+  round's `Near` transmissions are charged in one call.
+
+Profiler spans (:mod:`repro.observability.profile`) split a run into
+``leaf`` (a leaf round: its `Near` ticks and activation floods), ``far``
+(one `Far` round trip and update) and ``activation`` (an internal
+square's routes to its children), so ``repro profile --algorithm
+hierarchical`` shows where the time goes.
 """
 
 from __future__ import annotations
@@ -38,11 +63,22 @@ from repro.graphs.rgg import RandomGeometricGraph
 from repro.hierarchy.tree import HierarchyTree, SquareNode
 from repro.metrics.error import deviation_norm, normalized_error
 from repro.metrics.trace import ConvergenceTrace
+from repro.observability import profile
+from repro.routing.cache import CachedGreedyRouter
 from repro.routing.cost import TransmissionCounter
 from repro.routing.flooding import flood
 from repro.routing.greedy import GreedyRouter
 
-__all__ = ["CoefficientMode", "RoundConfig", "RoundStats", "HierarchicalGossip"]
+__all__ = [
+    "BufferedIntegers",
+    "CoefficientMode",
+    "RoundConfig",
+    "RoundStats",
+    "HierarchicalGossip",
+]
+
+_WORD = 1 << 32
+_LOW_BITS = _WORD - 1
 
 
 class CoefficientMode(Enum):
@@ -106,6 +142,97 @@ class RoundStats:
         table[depth] = table.get(depth, 0) + amount
 
 
+class BufferedIntegers:
+    """``int(rng.integers(k))`` for ``1 ≤ k < 2³²``, served from word blocks.
+
+    For such bounds NumPy's ``Generator.integers(k)`` is Lemire's method
+    over the bit generator's 32-bit stream: draw a word ``w`` and take
+    ``m = w·k``; reject ``w`` and draw again while the low 32 bits of
+    ``m`` are below ``(2³² − k) mod k``; return ``m >> 32``.  ``k = 1``
+    returns 0 without drawing.  ``rng.integers(0, 2**32, size=B,
+    dtype=np.uint32)`` draws the same words ``B`` at a time, so
+    :meth:`draw` replays the scalar calls from blocks in plain Python.
+
+    Blocks over-draw.  :meth:`resync` restores the generator's state as it
+    was at construction and redraws exactly the words consumed, leaving
+    ``rng`` where the scalar calls would have.  Nothing else may draw from
+    ``rng`` between construction and :meth:`resync`.
+
+    >>> rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    >>> draws = BufferedIntegers(rng)
+    >>> bounds = (5, 1, 9, 2**31 + 1)
+    >>> [draws.draw(k) for k in bounds] == [int(twin.integers(k)) for k in bounds]
+    True
+    >>> draws.resync()
+    >>> rng.bit_generator.state == twin.bit_generator.state
+    True
+    """
+
+    __slots__ = ("_rng", "_snapshot", "_block", "_words", "_pos", "_spent")
+
+    #: Largest block drawn at once; blocks double up to it from ``block``.
+    MAX_BLOCK = 1 << 16
+
+    def __init__(self, rng: np.random.Generator, block: int = 256):
+        self._rng = rng
+        self._snapshot = rng.bit_generator.state
+        self._block = max(1, block)
+        self._words: list[int] = []
+        self._pos = 0
+        #: words consumed from blocks already exhausted
+        self._spent = 0
+
+    def draw(self, k: int) -> int:
+        """The next ``int(rng.integers(k))`` of the scalar stream."""
+        if k == 1:
+            return 0
+        words, pos = self._words, self._pos
+        if pos == len(words):
+            words, pos = self._refill(), 0
+        m = words[pos] * k
+        pos += 1
+        low = m & _LOW_BITS
+        if low < k:
+            threshold = (_WORD - k) % k
+            while low < threshold:
+                if pos == len(words):
+                    words, pos = self._refill(), 0
+                m = words[pos] * k
+                pos += 1
+                low = m & _LOW_BITS
+        self._pos = pos
+        return m >> 32
+
+    def resync(self) -> None:
+        """Rewind ``rng`` and redraw exactly the words :meth:`draw` used."""
+        used = self._spent + self._pos
+        self._rng.bit_generator.state = self._snapshot
+        if used:
+            self._rng.integers(0, _WORD, size=used, dtype=np.uint32)
+
+    def _refill(self) -> list[int]:
+        self._spent += len(self._words)
+        self._words = self._rng.integers(
+            0, _WORD, size=self._block, dtype=np.uint32
+        ).tolist()
+        self._block = min(2 * self._block, self.MAX_BLOCK)
+        return self._words
+
+
+@dataclass(frozen=True)
+class _LeafPlan:
+    """What a leaf round needs of the static graph, computed once per leaf.
+
+    ``touched`` lists the members (in order) and then every out-of-leaf
+    D10 fallback partner; ``partners[i]`` holds member ``i``'s `Near`
+    partners as positions in ``touched``.
+    """
+
+    flood_cost: int
+    touched: np.ndarray
+    partners: list[list[int]]
+
+
 class HierarchicalGossip:
     """The paper's protocol, executed round by round.
 
@@ -158,9 +285,11 @@ class HierarchicalGossip:
         self.tree = tree if tree is not None else HierarchyTree.build(graph.positions)
         self.parameters = parameters
         self.config = config if config is not None else RoundConfig()
-        self.router = GreedyRouter(graph)
+        self.router = CachedGreedyRouter(GreedyRouter(graph))
         self.stats = RoundStats()
         self._leaf_neighbors = self._restrict_adjacency_to_leaves()
+        #: id(leaf) -> its :class:`_LeafPlan`, built on the leaf's first round
+        self._leaf_plans: dict[int, _LeafPlan] = {}
         self._depth_squares: dict[int, list[SquareNode]] = {
             depth: self.tree.squares_at_depth(depth)
             for depth in range(len(self.tree.factors) + 1)
@@ -263,27 +392,55 @@ class HierarchicalGossip:
     def _leaf_round(
         self, node: SquareNode, depth: int, target: float, state: "_RunState"
     ) -> None:
-        """`Near` gossip among the leaf's members until the target accuracy."""
-        members = node.members
-        self._activate_leaf(node, state)
-        prescribed = state.parameters.near_ticks(node.occupancy, depth)
-        cap = int(math.ceil(prescribed * self.config.hard_cap_factor))
-        check_period = max(1, len(members))
-        ticks = 0
-        while ticks < (cap if self.config.adaptive else prescribed):
-            for _ in range(check_period):
-                self._near_tick(node, state)
-                ticks += 1
-            if self.config.adaptive:
-                if self._square_deviation(node, state) <= target:
+        """`Near` gossip among the leaf's members until the target accuracy.
+
+        Each tick a uniform member averages with a uniform neighbour
+        inside the leaf (paper Section 4.2; D10 fallback partners may lie
+        outside it); a stranded member's tick is drawn and counted but
+        transmits nothing.  The ticks run over Python floats of the
+        touched sensors, written back to ``state.values`` at the end.
+        """
+        with profile.span("leaf"):
+            plan = self._leaf_plan(node)
+            counter = state.counter
+            counter.charge(plan.flood_cost, "activation")  # Activate.square
+            adaptive = self.config.adaptive
+            size = node.occupancy
+            prescribed = state.parameters.near_ticks(size, depth)
+            cap = int(math.ceil(prescribed * self.config.hard_cap_factor))
+            limit = cap if adaptive else prescribed
+            check_period = max(1, size)
+            partners = plan.partners
+            touched = plan.touched
+            local = state.values[touched].tolist()
+            draws = BufferedIntegers(state.rng, block=4 * check_period)
+            draw = draws.draw
+            ticks = charged = 0
+            while ticks < limit:
+                for _ in range(check_period):
+                    sensor = draw(size)
+                    near = partners[sensor]
+                    if near:
+                        partner = near[draw(len(near))]
+                        average = 0.5 * (local[sensor] + local[partner])
+                        local[sensor] = average
+                        local[partner] = average
+                        charged += 2
+                ticks += check_period
+                if adaptive:
+                    if self._deviation(np.array(local[:size])) <= target:
+                        break
+                elif ticks >= prescribed:
                     break
-            elif ticks >= prescribed:
-                break
-        else:
-            if self.config.adaptive:
-                self.stats.cap_hits += 1
-        self.stats._bump(self.stats.near_ticks_by_depth, depth, ticks)
-        self._deactivate_leaf(node, state)
+            else:
+                if adaptive:
+                    self.stats.cap_hits += 1
+            draws.resync()
+            state.values[touched] = local
+            self.stats._bump(self.stats.near_ticks_by_depth, depth, ticks)
+            if charged:
+                counter.charge(charged, "near")
+            counter.charge(plan.flood_cost, "activation")  # Deactivate.square
 
     def _internal_round(
         self, node: SquareNode, depth: int, target: float, state: "_RunState"
@@ -328,20 +485,6 @@ class HierarchicalGossip:
 
     # -- protocol actions ------------------------------------------------------
 
-    def _near_tick(self, node: SquareNode, state: "_RunState") -> None:
-        """One `Near` action: a uniform member averages with a uniform
-        neighbour inside the same leaf square (paper Section 4.2)."""
-        members = node.members
-        sensor = int(members[state.rng.integers(members.size)])
-        local = self._leaf_neighbors[sensor]
-        if local.size == 0:
-            return  # stranded within its leaf; its tick is wasted
-        partner = int(local[state.rng.integers(local.size)])
-        average = 0.5 * (state.values[sensor] + state.values[partner])
-        state.values[sensor] = average
-        state.values[partner] = average
-        state.counter.charge(2, "near")
-
     def _pick_partner(
         self,
         initiator: SquareNode,
@@ -369,28 +512,29 @@ class HierarchicalGossip:
         self, square_i: SquareNode, square_j: SquareNode, state: "_RunState"
     ) -> None:
         """The affine exchange of Section 4.2's `Far` (decisions D2/D4)."""
-        s_i, s_j = square_i.supernode, square_j.supernode
-        forward, backward = self.router.round_trip(
-            s_i, s_j, state.counter, category="far"
-        )
-        if not (forward.delivered and backward.delivered):
-            self.stats.routing_failures += 1
-            return
-        x_i, x_j = state.values[s_i], state.values[s_j]
-        if self.config.coefficient_mode is CoefficientMode.CONVEX:
-            average = 0.5 * (x_i + x_j)
-            state.values[s_i] = average
-            state.values[s_j] = average
-            return
-        beta = self._coefficient(square_i, square_j, state)
-        # Both sides computed from pre-exchange values (multi-field rows
-        # are views, so neither row may be written before both updates
-        # are built); the same β on both sides conserves the global sum
-        # exactly.
-        new_i = x_i + beta * (x_j - x_i)
-        new_j = x_j + beta * (x_i - x_j)
-        state.values[s_i] = new_i
-        state.values[s_j] = new_j
+        with profile.span("far"):
+            s_i, s_j = square_i.supernode, square_j.supernode
+            forward, backward = self.router.round_trip(
+                s_i, s_j, state.counter, category="far"
+            )
+            if not (forward.delivered and backward.delivered):
+                self.stats.routing_failures += 1
+                return
+            x_i, x_j = state.values[s_i], state.values[s_j]
+            if self.config.coefficient_mode is CoefficientMode.CONVEX:
+                average = 0.5 * (x_i + x_j)
+                state.values[s_i] = average
+                state.values[s_j] = average
+                return
+            beta = self._coefficient(square_i, square_j, state)
+            # Both sides computed from pre-exchange values (multi-field rows
+            # are views, so neither row may be written before both updates
+            # are built); the same β on both sides conserves the global sum
+            # exactly.
+            new_i = x_i + beta * (x_j - x_i)
+            new_j = x_j + beta * (x_i - x_j)
+            state.values[s_i] = new_i
+            state.values[s_j] = new_j
 
     def _coefficient(
         self, square_i: SquareNode, square_j: SquareNode, state: "_RunState"
@@ -409,36 +553,49 @@ class HierarchicalGossip:
 
     # -- activation / deactivation ---------------------------------------------
 
-    def _activate_leaf(self, node: SquareNode, state: "_RunState") -> None:
-        flood(
-            self.graph.neighbors,
-            node.supernode,
-            node.members.tolist(),
-            state.counter,
-            category="activation",
-        )
+    def _leaf_plan(self, node: SquareNode) -> _LeafPlan:
+        """The leaf's memoised flood cost and `Near` partner layout.
 
-    def _deactivate_leaf(self, node: SquareNode, state: "_RunState") -> None:
-        flood(
-            self.graph.neighbors,
-            node.supernode,
-            node.members.tolist(),
-            state.counter,
-            category="activation",
-        )
+        A leaf's activation and deactivation floods are the same BFS over
+        the static graph every time, so it runs once per leaf (charging
+        nothing) and each flood then charges ``len(reached)``.
+        """
+        plan = self._leaf_plans.get(id(node))
+        if plan is None:
+            members = node.members.tolist()
+            reached = flood(self.graph.neighbors, node.supernode, members)
+            slot = {sensor: index for index, sensor in enumerate(members)}
+            touched = list(members)
+            partners = []
+            for sensor in members:
+                near = []
+                for neighbour in self._leaf_neighbors[sensor].tolist():
+                    if neighbour not in slot:
+                        slot[neighbour] = len(touched)
+                        touched.append(neighbour)
+                    near.append(slot[neighbour])
+                partners.append(near)
+            plan = _LeafPlan(
+                flood_cost=len(reached),
+                touched=np.array(touched, dtype=np.int64),
+                partners=partners,
+            )
+            self._leaf_plans[id(node)] = plan
+        return plan
 
     def _activate_internal(
         self, node: SquareNode, children: list[SquareNode], state: "_RunState"
     ) -> None:
         """Greedy-route an on-switch to each child supernode (Section 4.2)."""
-        for child in children:
-            if child.supernode != node.supernode:
-                self.router.route_to_node(
-                    node.supernode,
-                    child.supernode,
-                    state.counter,
-                    category="activation",
-                )
+        with profile.span("activation"):
+            for child in children:
+                if child.supernode != node.supernode:
+                    self.router.route_to_node(
+                        node.supernode,
+                        child.supernode,
+                        state.counter,
+                        category="activation",
+                    )
 
     def _deactivate_internal(
         self, node: SquareNode, children: list[SquareNode], state: "_RunState"
@@ -454,8 +611,17 @@ class HierarchicalGossip:
         (this executor runs multi-field state per column, via the
         engine's fallback), so no matrix branch exists here.
         """
-        slice_ = state.values[node.members]
-        return float(np.linalg.norm(slice_ - slice_.mean()))
+        return self._deviation(state.values[node.members])
+
+    @staticmethod
+    def _deviation(values: np.ndarray) -> float:
+        """``np.linalg.norm(values - values.mean())`` without the dispatch.
+
+        The same IEEE operations (``sum / size``, then the square root of
+        a dot product), so the result is bit-identical.
+        """
+        centred = values - values.sum() / values.size
+        return math.sqrt(centred.dot(centred))
 
     def _restrict_adjacency_to_leaves(self) -> list[np.ndarray]:
         """Per-sensor `Near` adjacency (leaf-local, ancestor fallback D10)."""

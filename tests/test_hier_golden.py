@@ -40,6 +40,7 @@ from repro.gossip.hierarchical import (
 )
 from repro.graphs import RandomGeometricGraph
 from repro.graphs.rgg import connectivity_radius
+from repro.observability import profile
 
 
 def _fallback_graph() -> RandomGeometricGraph:
@@ -194,3 +195,19 @@ class TestCoverage:
 def test_pinned_digest(name):
     algo, result = CASES[name]()
     assert _digest(algo, result) == GOLDEN[name]
+
+
+def test_profiled_run_is_bit_identical_and_split_into_spans():
+    with profile.capture() as profiler:
+        with profile.span("run"):
+            algo, result = CASES["clamped"]()
+    assert _digest(algo, result) == GOLDEN["clamped"]
+    counts = {row["span"]: row["count"] for row in profiler.hotpath_table()}
+    stats = algo.stats
+    assert counts["run.leaf"] == sum(
+        count
+        for depth, count in stats.rounds_by_depth.items()
+        if depth == algo.tree.levels - 1
+    )
+    assert counts["run.far"] == sum(stats.exchanges_by_depth.values())
+    assert counts["run.activation"] > 0

@@ -34,6 +34,15 @@ class TestInitialization:
         proto.run(field, epsilon=0.9, rng=np.random.default_rng(1), max_ticks=1)
         assert proto.states[tree.root.supernode].global_on
 
+    def test_dynamics_layer_rejects_static_snapshots(self, setup):
+        from repro.dynamics.overlay import DynamicGossip, DynamicSubstrate
+        from repro.dynamics.schedule import FaultSpec
+
+        graph, tree, _ = setup
+        substrate = DynamicSubstrate(graph, FaultSpec(), seed=1)
+        with pytest.raises(TypeError, match="supports_dynamics=False"):
+            DynamicGossip(AsyncHierarchicalProtocol(substrate, tree=tree), substrate)
+
     def test_supernode_square_map_shallowest_wins(self, setup):
         graph, tree, _ = setup
         proto = AsyncHierarchicalProtocol(graph, tree=tree)
